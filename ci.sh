@@ -22,6 +22,9 @@ cargo test -q
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+echo "== benchmark checker tests (e2ebench, its own package) =="
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml -q
+
 echo "== sweep smoke (multi-threaded, deterministic) =="
 cargo run --release -q -p parcache-bench --bin parcache-run -- \
     --sweep synth fixed-horizon,aggressive 1,2 --threads 2 > /dev/null

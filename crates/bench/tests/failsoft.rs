@@ -217,12 +217,25 @@ fn bounded_retry_recovers_a_cell_that_fails_once() {
 fn watchdog_times_out_a_hung_cell_and_spares_the_rest() {
     let cells = small_cells();
     let faults = FaultPlan::default();
-    let limit = Duration::from_millis(30);
+    // Scale the deadline to this machine and build: the slowest of three
+    // honest runs of the whole grid bounds every honest cell, the limit
+    // sits 10x above that, and the injected hang 10x above the limit.
+    let honest = (0..3)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let run =
+                run_cells_failsoft(&cells, 2, false, false, &faults, &FailSoft::default(), None);
+            assert_eq!(run.failures(), 0);
+            t0.elapsed()
+        })
+        .max()
+        .expect("three honest runs");
+    let limit = (honest * 10).max(Duration::from_millis(1));
     let policy = FailSoft {
         cell_timeout: Some(limit),
         inject: Some(Injection {
             cell: 1,
-            kind: InjectionKind::Hang(Duration::from_millis(400)),
+            kind: InjectionKind::Hang(limit * 10),
             times: u32::MAX,
         }),
         ..FailSoft::default()

@@ -13,10 +13,51 @@
 
 use crate::oracle::{Oracle, NEVER};
 use parcache_types::{BitSet, BlockId, PosSet};
-use std::collections::BinaryHeap;
 
 /// Sentinel in the `last_use` slot array for "never used".
 const NO_USE: usize = usize::MAX;
+
+/// Sentinel in the `heap_pos` slot array for "not in the eviction index".
+const UNINDEXED: u32 = u32::MAX;
+
+/// Fan-out of the eviction index's heap. Four children per node halve
+/// the depth of a binary heap, and a node's children are adjacent: 64
+/// bytes of 16-byte entries.
+const ARITY: usize = 4;
+
+/// One eviction-index entry. `ord` packs the Belady key into its high
+/// half and the block's [`Oracle::block_rank`] into its low half, so one
+/// integer comparison orders by `(key, BlockId)`, the eviction order
+/// (largest first) and its tie-break.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    ord: u64,
+    idx: u32,
+}
+
+/// The high half of an entry's `ord` for Belady key `key`. [`NEVER`]
+/// maps to `u32::MAX`; positions are below `u32::MAX - 1` (the oracle
+/// asserts it), and only an LRU estimate on a trace of some four
+/// billion references could saturate.
+#[inline]
+fn key_bits(key: usize) -> u64 {
+    if key == NEVER {
+        u64::from(u32::MAX)
+    } else {
+        key.min(u32::MAX as usize - 1) as u64
+    }
+}
+
+/// The Belady key packed into `ord`.
+#[inline]
+fn key_of(ord: u64) -> usize {
+    let k = (ord >> 32) as u32;
+    if k == u32::MAX {
+        NEVER
+    } else {
+        k as usize
+    }
+}
 
 /// The cache state.
 #[derive(Debug)]
@@ -24,14 +65,17 @@ pub struct Cache {
     capacity: usize,
     resident: BitSet,
     inflight: BitSet,
-    /// Lazy max-heap over resident blocks keyed by next-reference
-    /// position. Entries go stale as the cursor advances or blocks are
-    /// evicted; they are validated against the oracle when popped. The
-    /// `BlockId` stays in the entry so tie-breaking on equal keys is
-    /// identical to the pre-index implementation; the trailing compact
-    /// index never influences the order because equal `(key, block)`
-    /// implies an equal index.
-    belady: BinaryHeap<(usize, BlockId, u32)>,
+    /// Exact eviction index: a 4-ary max-heap holding one entry per
+    /// resident block, keyed by its Belady key at `synced`. A fetch
+    /// completion inserts, an eviction removes, and a reference re-keys
+    /// the referenced block and the block the hints placed at that
+    /// position, so the heap never holds more than `capacity` entries.
+    heap: Vec<Entry>,
+    /// Heap slot of each compact index (`UNINDEXED` when not resident).
+    heap_pos: Vec<u32>,
+    /// Every key in `heap` is exact for cursor positions up to here: the
+    /// positions before it have had their hinted blocks re-keyed.
+    synced: usize,
     /// The block the application is about to reference, exempt from
     /// eviction. Without this, a block demand-fetched for an
     /// *undisclosed* reference (whose policy-visible next use is NEVER)
@@ -58,7 +102,9 @@ impl Cache {
             capacity,
             resident: BitSet::with_capacity(universe),
             inflight: BitSet::with_capacity(universe),
-            belady: BinaryHeap::new(),
+            heap: Vec::with_capacity(capacity.min(universe)),
+            heap_pos: vec![UNINDEXED; universe],
+            synced: 0,
             pinned: None,
             lru_estimate: false,
             last_use: vec![NO_USE; universe],
@@ -147,7 +193,7 @@ impl Cache {
                 self.resident.remove(e),
                 "evicting non-resident block index {e}"
             );
-            // The heap entry for `e` goes stale and is skipped on pop.
+            self.unindex(e);
         } else {
             assert!(
                 self.resident.len() + self.inflight.len() < self.capacity,
@@ -158,7 +204,7 @@ impl Cache {
     }
 
     /// Completes the fetch of block `idx` at cursor position `cursor`:
-    /// the block becomes resident and enters the Belady heap.
+    /// the block becomes resident and enters the eviction index.
     ///
     /// # Panics
     ///
@@ -168,12 +214,15 @@ impl Cache {
             self.inflight.remove(idx),
             "completing unfetched block index {idx}"
         );
+        self.sync(cursor, oracle);
         self.resident.insert(idx);
         if self.lru_estimate && self.last_use[idx as usize] == NO_USE {
             self.last_use[idx as usize] = cursor;
         }
-        self.belady
-            .push((self.key_for(idx, cursor, oracle), oracle.block_of(idx), idx));
+        let ord =
+            key_bits(self.key_for(idx, cursor, oracle)) << 32 | u64::from(oracle.block_rank(idx));
+        self.heap.push(Entry { ord, idx });
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Abandons the in-flight fetch of block `idx`: the reserved frame is
@@ -193,55 +242,156 @@ impl Cache {
     /// Records that the application consumed block `idx` at position
     /// `pos`: refreshes its Belady key to the next occurrence after `pos`
     /// (an O(1) next-pointer walk when `pos` references `idx`, which it
-    /// always does on this path).
+    /// always does under oracle hints).
+    ///
+    /// A predicted hint stream can place a different block at `pos`;
+    /// that block's next occurrence moves past `pos` too, so it is
+    /// re-keyed as well. Positions must not go backwards.
     pub fn on_reference(&mut self, idx: u32, pos: usize, oracle: &Oracle) {
         debug_assert!(
             self.resident(idx),
             "consumed non-resident block index {idx}"
         );
+        debug_assert!(
+            pos >= self.synced,
+            "reference at {pos} behind {}",
+            self.synced
+        );
+        self.sync(pos, oracle);
         if self.lru_estimate {
             self.last_use[idx as usize] = pos + 1;
         }
-        let key = self.key_from_next(idx, oracle.next_after_idx(idx, pos));
-        self.belady.push((key, oracle.block_of(idx), idx));
+        self.rekey(
+            idx,
+            self.key_from_next(idx, oracle.next_after_idx(idx, pos)),
+        );
+        self.advance_past(pos, idx, oracle);
     }
 
     /// The evictable resident block whose next reference (at or after
     /// `cursor`) is furthest in the future, with that position ([`NEVER`]
-    /// if it is never referenced again). `None` when nothing evictable is
-    /// resident. The pinned block is never returned.
+    /// if it is never referenced again). Ties go to the larger
+    /// `BlockId`. `None` when nothing evictable is resident. The pinned
+    /// block is never returned.
     ///
-    /// Lazily repairs stale heap entries; amortized cost is logarithmic.
+    /// O(1) when the references up to `cursor` have been reported through
+    /// [`Cache::on_reference`]; otherwise the skipped positions are
+    /// caught up first, O(log K) each.
     pub fn furthest_resident(&mut self, cursor: usize, oracle: &Oracle) -> Option<(u32, usize)> {
-        let mut stash: Option<(usize, BlockId, u32)> = None;
-        let mut found = None;
-        while let Some((key, block, idx)) = self.belady.pop() {
-            if !self.resident(idx) {
-                continue; // evicted since this entry was pushed
-            }
-            let actual = self.key_for(idx, cursor, oracle);
-            if actual != key {
-                self.belady.push((actual, block, idx));
-                continue;
-            }
-            if Some(idx) == self.pinned {
-                // Valid entry, but exempt: set it aside and keep looking.
-                stash = Some((key, block, idx));
-                continue;
-            }
-            self.belady.push((key, block, idx));
-            found = Some((idx, key));
-            break;
-        }
-        if let Some(entry) = stash {
-            self.belady.push(entry);
-        }
-        found
+        self.sync(cursor, oracle);
+        let top = *self.heap.first()?;
+        let best = if Some(top.idx) == self.pinned {
+            // The runner-up of a heap is the root's largest child.
+            let children = &self.heap[1..self.heap.len().min(1 + ARITY)];
+            *children.iter().max_by_key(|e| e.ord)?
+        } else {
+            top
+        };
+        Some((best.idx, key_of(best.ord)))
     }
 
     /// Iterates over resident block indices, ascending.
     pub fn resident_indices(&self) -> impl Iterator<Item = u32> + '_ {
         self.resident.ones()
+    }
+
+    /// Brings every key up to cursor position `to`: the block the hints
+    /// place at each position not yet reported has its next occurrence
+    /// move past that position.
+    fn sync(&mut self, to: usize, oracle: &Oracle) {
+        let to = to.min(oracle.len());
+        while self.synced < to {
+            self.advance_past(self.synced, u32::MAX, oracle);
+        }
+    }
+
+    /// Marks position `pos` consumed: re-keys the block the hints place
+    /// there, unless it is `skip` (already re-keyed by the caller).
+    fn advance_past(&mut self, pos: usize, skip: u32, oracle: &Oracle) {
+        if pos < self.synced {
+            return;
+        }
+        if let Some(h) = oracle.index_at(pos) {
+            if h != skip && self.resident(h) {
+                self.rekey(h, self.key_from_next(h, oracle.next_after_idx(h, pos)));
+            }
+        }
+        self.synced = pos + 1;
+    }
+
+    /// Sets resident block `idx`'s Belady key to `key`.
+    fn rekey(&mut self, idx: u32, key: usize) {
+        let at = self.heap_pos[idx as usize] as usize;
+        let old = self.heap[at].ord;
+        let ord = key_bits(key) << 32 | (old & u64::from(u32::MAX));
+        if ord > old {
+            self.heap[at].ord = ord;
+            self.sift_up(at);
+        } else if ord < old {
+            self.heap[at].ord = ord;
+            self.sift_down(at);
+        }
+    }
+
+    /// Removes block `idx` from the eviction index.
+    fn unindex(&mut self, idx: u32) {
+        let at = std::mem::replace(&mut self.heap_pos[idx as usize], UNINDEXED) as usize;
+        let removed = self.heap[at].ord;
+        let last = self.heap.pop().expect("indexed block has an entry");
+        if at < self.heap.len() {
+            self.heap[at] = last;
+            if last.ord > removed {
+                self.sift_up(at);
+            } else {
+                self.sift_down(at);
+            }
+        }
+    }
+
+    /// Moves the entry at slot `at` toward the root until its parent
+    /// orders above it.
+    fn sift_up(&mut self, mut at: usize) {
+        let e = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / ARITY;
+            let p = self.heap[parent];
+            if p.ord > e.ord {
+                break;
+            }
+            self.heap[at] = p;
+            self.heap_pos[p.idx as usize] = at as u32;
+            at = parent;
+        }
+        self.heap[at] = e;
+        self.heap_pos[e.idx as usize] = at as u32;
+    }
+
+    /// Moves the entry at slot `at` toward the leaves until no child
+    /// orders above it.
+    fn sift_down(&mut self, mut at: usize) {
+        let e = self.heap[at];
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * at + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.heap[c].ord > self.heap[best].ord {
+                    best = c;
+                }
+            }
+            let b = self.heap[best];
+            if b.ord < e.ord {
+                break;
+            }
+            self.heap[at] = b;
+            self.heap_pos[b.idx as usize] = at as u32;
+            at = best;
+        }
+        self.heap[at] = e;
+        self.heap_pos[e.idx as usize] = at as u32;
     }
 }
 
@@ -610,6 +760,166 @@ mod tests {
         assert_eq!(c.furthest_resident(2, &o).unwrap(), (b2, 3));
         // At cursor 4 both are NEVER; either may win but the key is NEVER.
         assert_eq!(c.furthest_resident(4, &o).unwrap().1, NEVER);
+    }
+
+    /// The argmax the eviction index must reproduce: every evictable
+    /// resident block by `(key_for(cursor), BlockId)`, largest first.
+    fn naive_furthest(c: &Cache, cursor: usize, o: &Oracle) -> Option<(u32, usize)> {
+        c.resident_indices()
+            .filter(|&i| Some(i) != c.pinned())
+            .map(|i| (c.key_for(i, cursor, o), o.block_of(i), i))
+            .max()
+            .map(|(key, _, i)| (i, key))
+    }
+
+    #[test]
+    fn eviction_index_matches_naive_argmax() {
+        // Random fetch, evict, cancel, pin and reference sequences, LRU
+        // estimate on and off. The hint stream is predicted-style: at
+        // some positions the application references another block than
+        // the one hinted there, and some positions are undisclosed.
+        let mut rng = parcache_types::rng::Rng::seed_from_u64(0x5eed_b1ad);
+        for case in 0..300 {
+            let len = rng.gen_range(1usize..=60);
+            let universe = rng.gen_range(2u64..=16);
+            let hinted: Vec<Option<u64>> = (0..len)
+                .map(|_| rng.gen_bool(0.85).then(|| rng.gen_range(0..universe)))
+                .collect();
+            let app: Vec<u64> = hinted
+                .iter()
+                .map(|h| match h {
+                    Some(b) if rng.gen_bool(0.7) => *b,
+                    _ => rng.gen_range(0..universe),
+                })
+                .collect();
+            let entries: Vec<(usize, BlockId)> = hinted
+                .iter()
+                .enumerate()
+                .filter_map(|(i, h)| h.map(|b| (i, BlockId(b))))
+                .collect();
+            let all: Vec<BlockId> = (0..universe).map(BlockId).collect();
+            let o = Oracle::from_positions_with_universe(len, entries, &all, Layout::striped(1));
+            let capacity = rng.gen_range(1usize..=6);
+            let mut c = Cache::new(capacity, o.num_blocks());
+            if rng.gen_bool(0.5) {
+                c.enable_lru_estimate();
+            }
+            let check = |c: &mut Cache, cursor: usize, what: &str| {
+                let want = naive_furthest(c, cursor, &o);
+                assert_eq!(
+                    c.furthest_resident(cursor, &o),
+                    want,
+                    "case {case} at {cursor} ({what}): hints {hinted:?} app {app:?}"
+                );
+            };
+            for (pos, &b) in app.iter().enumerate() {
+                let want = o.index_of(BlockId(b)).unwrap();
+                c.pin(Some(want));
+                // Random cache traffic before the reference.
+                for _ in 0..rng.gen_range(0usize..4) {
+                    let x = rng.gen_range(0..universe);
+                    let xi = o.index_of(BlockId(x)).unwrap();
+                    if c.inflight(xi) {
+                        if rng.gen_bool(0.8) {
+                            c.complete_fetch(xi, pos, &o);
+                        } else {
+                            c.cancel_fetch(xi);
+                        }
+                    } else if !c.resident(xi) {
+                        let evict = if c.has_free_frame() {
+                            None
+                        } else if rng.gen_bool(0.5) {
+                            c.furthest_resident(pos, &o).map(|(e, _)| e)
+                        } else {
+                            // An arbitrary victim, as a scheduled
+                            // eviction may be.
+                            let victims: Vec<u32> = c
+                                .resident_indices()
+                                .filter(|&i| Some(i) != c.pinned())
+                                .collect();
+                            rng.choose(&victims).copied()
+                        };
+                        if evict.is_some() || c.has_free_frame() {
+                            c.start_fetch(xi, evict);
+                        }
+                    }
+                    check(&mut c, pos, "traffic");
+                }
+                // The referenced block must be resident to be consumed.
+                if !c.resident(want) {
+                    if !c.inflight(want) {
+                        let evict = if c.has_free_frame() {
+                            None
+                        } else {
+                            c.furthest_resident(pos, &o).map(|(e, _)| e)
+                        };
+                        if evict.is_none() && !c.has_free_frame() {
+                            // Every frame is in flight: land one.
+                            let f = (0..o.num_blocks() as u32).find(|&i| c.inflight(i)).unwrap();
+                            c.complete_fetch(f, pos, &o);
+                            let e = c.furthest_resident(pos, &o).map(|(e, _)| e);
+                            c.start_fetch(want, e);
+                        } else {
+                            c.start_fetch(want, evict);
+                        }
+                    }
+                    c.complete_fetch(want, pos, &o);
+                }
+                check(&mut c, pos, "before reference");
+                c.pin(None);
+                c.on_reference(want, pos, &o);
+                check(&mut c, pos + 1, "after reference");
+            }
+            assert!(
+                c.heap.len() <= capacity,
+                "case {case}: index outgrew the cache"
+            );
+            assert_eq!(c.heap.len(), c.resident_count());
+        }
+    }
+
+    #[test]
+    fn predicted_hint_miss_rekeys_the_hinted_block() {
+        // The hints place block 1 at position 0, but the application
+        // references block 2 there. Block 1's next hinted use is now
+        // position 3 and it is the furthest resident; an index that only
+        // re-keys referenced blocks still believes "position 0" and
+        // evicts block 2 (next use 1) instead.
+        let entries = vec![
+            (0, BlockId(1)),
+            (1, BlockId(2)),
+            (2, BlockId(2)),
+            (3, BlockId(1)),
+        ];
+        let o = Oracle::from_positions(4, entries, Layout::striped(1));
+        let (b1, b2) = (idx(&o, 1), idx(&o, 2));
+        let mut c = Cache::new(2, o.num_blocks());
+        c.enable_lru_estimate();
+        for b in [b1, b2] {
+            c.start_fetch(b, None);
+            c.complete_fetch(b, 0, &o);
+        }
+        c.on_reference(b2, 0, &o);
+        assert_eq!(c.furthest_resident(1, &o), Some((b1, 3)));
+    }
+
+    #[test]
+    fn skipped_positions_are_caught_up() {
+        // A caller that queries a later cursor without reporting the
+        // references in between still gets the exact answer.
+        let o = oracle_of(&[1, 2, 3, 1, 2, 3, 2], 1);
+        let mut c = Cache::new(3, o.num_blocks());
+        for b in [1u64, 2, 3] {
+            c.start_fetch(idx(&o, b), None);
+            c.complete_fetch(idx(&o, b), 0, &o);
+        }
+        for cursor in 0..=o.len() {
+            assert_eq!(
+                c.furthest_resident(cursor, &o),
+                naive_furthest(&c, cursor, &o),
+                "cursor {cursor}"
+            );
+        }
     }
 
     #[test]

@@ -729,13 +729,17 @@ impl<'t> Engine<'t> {
                 (oracle, Some(stats))
             }
         };
+        // A position the hints disclose correctly already carries the
+        // block's index; only the others need the hash lookup.
         let ref_idx: Vec<u32> = trace
             .requests
             .iter()
-            .map(|r| {
-                oracle
+            .enumerate()
+            .map(|(i, r)| match oracle.index_at(i) {
+                Some(idx) if oracle.block_of(idx) == r.block => idx,
+                _ => oracle
                     .index_of(r.block)
-                    .expect("every trace block is in the indexed universe")
+                    .expect("every trace block is in the indexed universe"),
             })
             .collect();
         let missing = MissingTracker::new(&oracle);
@@ -1116,7 +1120,10 @@ impl<'t> Engine<'t> {
         match done.kind {
             parcache_disk::disk::ReqKind::Read => {
                 if done.outcome.is_ok() {
-                    self.retrying.remove(&done.block);
+                    // Fault-free runs never retry; skip the hash.
+                    if !self.retrying.is_empty() {
+                        self.retrying.remove(&done.block);
+                    }
                     self.history.push_fetch(d.index(), done.service);
                     let idx = self
                         .oracle

@@ -86,6 +86,10 @@ pub struct Oracle {
     index: FastMap<BlockId, u32>,
     /// Inverse of `index`.
     blocks: Vec<BlockId>,
+    /// Rank of each compact index's block in ascending `BlockId` order,
+    /// so comparing ranks compares block ids (the cache's eviction
+    /// tie-break) without carrying 64-bit ids around.
+    ranks: Vec<u32>,
     /// Number of leading entries of `blocks` that actually occur in the
     /// disclosed sequence.
     disclosed: usize,
@@ -198,12 +202,23 @@ impl Oracle {
             disk_positions.data[d_at] = pos;
             disk_cursor[disk] += 1;
         }
+        let mut by_block: Vec<(BlockId, u32)> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (b, i as u32))
+            .collect();
+        by_block.sort_unstable();
+        let mut ranks = vec![0u32; blocks.len()];
+        for (rank, &(_, idx)) in by_block.iter().enumerate() {
+            ranks[idx as usize] = rank as u32;
+        }
         Oracle {
             sequence,
             seq_idx,
             next_same,
             index,
             blocks,
+            ranks,
             disclosed,
             occurrences,
             disk_positions,
@@ -258,6 +273,14 @@ impl Oracle {
         self.blocks[idx as usize]
     }
 
+    /// The rank of block `idx` among all indexed blocks in ascending
+    /// `BlockId` order: `block_rank(a) < block_rank(b)` exactly when
+    /// `block_of(a) < block_of(b)`. O(1).
+    #[inline]
+    pub fn block_rank(&self, idx: u32) -> u32 {
+        self.ranks[idx as usize]
+    }
+
     /// The layout used to build this oracle.
     pub fn layout(&self) -> Layout {
         self.layout
@@ -286,6 +309,16 @@ impl Oracle {
         occ.get(i).map_or(NEVER, |&p| p as usize)
     }
 
+    /// Whether block `idx` is referenced at or after `at`: O(1), against
+    /// the block's last occurrence.
+    #[inline]
+    pub fn occurs_at_or_after(&self, idx: u32, at: usize) -> bool {
+        self.occurrences
+            .row(idx as usize)
+            .last()
+            .is_some_and(|&p| p as usize >= at)
+    }
+
     /// The first position strictly after `pos` referencing block `idx`.
     ///
     /// When `pos` itself references block `idx` — the cursor-advance
@@ -308,7 +341,11 @@ impl Oracle {
     /// The last position `< before` referencing `block`, or `None` —
     /// binary search over the block's sorted occurrence list.
     pub fn last_occurrence_before(&self, block: BlockId, before: usize) -> Option<usize> {
-        let idx = self.index_of(block)?;
+        self.last_occurrence_before_idx(self.index_of(block)?, before)
+    }
+
+    /// [`Oracle::last_occurrence_before`] by compact index (no hashing).
+    pub fn last_occurrence_before_idx(&self, idx: u32, before: usize) -> Option<usize> {
         let occ = self.occurrences.row(idx as usize);
         let i = occ.partition_point(|&p| (p as usize) < before);
         i.checked_sub(1).map(|i| occ[i] as usize)
@@ -427,6 +464,16 @@ mod tests {
                 "pos {pos}"
             );
         }
+        // `occurs_at_or_after` agrees with the search everywhere.
+        for idx in 0..o.num_blocks() as u32 {
+            for at in 0..=o.len() + 1 {
+                assert_eq!(
+                    o.occurs_at_or_after(idx, at),
+                    o.next_occurrence_idx(idx, at) != NEVER,
+                    "idx {idx} at {at}"
+                );
+            }
+        }
         // Off-position queries fall back to the search.
         let idx1 = o.index_of(BlockId(1)).unwrap();
         assert_eq!(o.next_after_idx(idx1, 1), 2);
@@ -461,6 +508,25 @@ mod tests {
         assert_eq!(o.distinct_blocks(), vec![BlockId(1), BlockId(5)]);
         let idx = o.index_of(BlockId(1)).unwrap();
         assert_eq!(o.next_after_idx(idx, 0), 3);
+    }
+
+    #[test]
+    fn block_ranks_follow_block_id_order() {
+        let entries = vec![(0, BlockId(40)), (1, BlockId(7)), (2, BlockId(40))];
+        let o = Oracle::from_positions_with_universe(
+            3,
+            entries,
+            &[BlockId(3), BlockId(99)],
+            Layout::striped(2),
+        );
+        let mut by_rank: Vec<(u32, BlockId)> = (0..o.num_blocks() as u32)
+            .map(|i| (o.block_rank(i), o.block_of(i)))
+            .collect();
+        by_rank.sort_unstable();
+        let ids: Vec<u64> = by_rank.iter().map(|&(_, b)| b.0).collect();
+        assert_eq!(ids, vec![3, 7, 40, 99]);
+        let ranks: Vec<u32> = by_rank.iter().map(|&(r, _)| r).collect();
+        assert_eq!(ranks, vec![0, 1, 2, 3]);
     }
 
     #[test]
